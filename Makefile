@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench bench-json benchdiff bench-serve-json benchdiff-serve tables cover fmt vet clean
+.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos sim-golden bench bench-json benchdiff bench-serve-json benchdiff-serve tables cover fmt vet clean
 
 all: build test
 
@@ -137,6 +137,13 @@ benchdiff-serve:
 	FASTD_SEQUENTIAL=1 $(MAKE) bench-serve-json BENCH_SERVE_JSON=BENCH_serve_seq.json
 	$(MAKE) bench-serve-json BENCH_SERVE_JSON=BENCH_serve_new.json
 	$(GO) run ./scripts/benchdiff -fail-below 1.05 BENCH_serve_seq.json BENCH_serve_new.json
+
+# Simulator golden gate: fastbench is its own module, so `go test ./...` never
+# runs it. A short sim-tables smoke run calls fast.Simulate over 4 workloads x
+# 7 accelerators x 4 plan modes and fails unless every simulated statistic is
+# bit-equal to fastbench/golden/sim_tables.json.
+sim-golden:
+	bash fastbench/run.sh --workload sim-tables --seed 1 --seconds 2 --trace 0 --smoke
 
 # Regenerate every table and figure of the paper's evaluation.
 tables:

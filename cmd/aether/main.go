@@ -87,7 +87,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	plan, mct, err := an.Analyze(tr)
+	plan, mct, err := an.AnalyzeMCT(tr)
 	if err != nil {
 		return err
 	}

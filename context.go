@@ -3,10 +3,10 @@ package fast
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"github.com/fastfhe/fast/internal/ckks"
 	"github.com/fastfhe/fast/internal/obs"
+	"github.com/fastfhe/fast/internal/trace"
 )
 
 // Method selects a key-switching backend.
@@ -281,6 +281,15 @@ func (c *Context) settings(opts []OpOption) opSettings {
 	return s
 }
 
+// requestKey reports one use of an evaluation key (kind, rotation for
+// rotation keys, method m) at the given level to the fault model and the
+// shared evk tier.
+func (c *Context) requestKey(kind trace.KeyKind, rotation, level int, m Method) {
+	id := trace.NewKeyID(cmMethod(m), kind, rotation)
+	c.faults.request(c.params, id, level, m)
+	c.evk.request(c.params, id, m)
+}
+
 // Observer returns the observer attached with WithObserver (nil when the
 // context is unobserved).
 func (c *Context) Observer() *Observer { return c.observer }
@@ -370,8 +379,7 @@ func (c *Context) Mul(a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.faults.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
-	c.evk.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
+	c.requestKey(trace.RelinKey, 0, min(a.ct.Level, b.ct.Level), s.method)
 	prod, err := c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method.internal())
 	if err != nil {
 		return nil, err
@@ -473,8 +481,7 @@ func (c *Context) Rotate(a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, e
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.faults.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
-	c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
+	c.requestKey(trace.RotKey, r, a.ct.Level, s.method)
 	out, err := c.eval.RotateCtx(s.ctx, a.ct, r, s.method.internal())
 	return wrap(out, err)
 }
@@ -493,8 +500,7 @@ func (c *Context) RotateHoisted(a *Ciphertext, rotations []int, opts ...OpOption
 	s := c.settings(opts)
 	for _, r := range rotations {
 		if r != 0 {
-			c.faults.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
-			c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
+			c.requestKey(trace.RotKey, r, a.ct.Level, s.method)
 		}
 	}
 	outs, err := c.eval.RotateHoistedCtx(s.ctx, a.ct, rotations, s.method.internal())
@@ -521,8 +527,7 @@ func (c *Context) Conjugate(a *Ciphertext, opts ...OpOption) (*Ciphertext, error
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.faults.request(c.params, "conj", a.ct.Level, s.method)
-	c.evk.request(c.params, "conj", a.ct.Level, s.method)
+	c.requestKey(trace.ConjKey, 0, a.ct.Level, s.method)
 	out, err := c.eval.ConjugateCtx(s.ctx, a.ct, s.method.internal())
 	return wrap(out, err)
 }

@@ -1,8 +1,11 @@
 package fast
 
 import (
+	"strconv"
+
 	"github.com/fastfhe/fast/internal/ckks"
 	"github.com/fastfhe/fast/internal/hemera"
+	"github.com/fastfhe/fast/internal/trace"
 )
 
 // EvkCache is the process-wide shared evaluation-key tier: one byte-budgeted
@@ -84,14 +87,14 @@ type evkBinding struct {
 // additive next to faultState.request: it never skips or reorders the fault
 // stream, so chaos invariants (deterministic per-seed fault patterns) are
 // unchanged whether or not a shared cache is attached.
-func (e *evkBinding) request(params *ckks.Parameters, keyID string, level int, m Method) {
+func (e *evkBinding) request(params *ckks.Parameters, id trace.KeyID, m Method) {
 	if e == nil {
 		return
 	}
 	// Key identity must be independent of the requesting level — galois keys
 	// are per (session, method, element), and sizing by the max level makes
 	// the byte accounting level-stable too.
-	key := e.session + "/" + m.String() + "/" + keyID
+	key := e.session + "/" + strconv.FormatUint(uint64(id), 16)
 	size := evkBytes(params, params.MaxLevel(), m)
 	_ = e.cache.GetOrFill(key, e.shard, size, nil)
 }

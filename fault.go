@@ -5,9 +5,9 @@ import (
 
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/ckks"
-	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/hemera"
+	"github.com/fastfhe/fast/internal/trace"
 )
 
 // FaultPlan configures deterministic fault injection on the modeled
@@ -136,23 +136,16 @@ func newFaultState(params *ckks.Parameters, plan FaultPlan) *faultState {
 	return fs
 }
 
-// request models one evaluation-key fetch. It returns the (possibly
-// degraded) method so callers could, in a future scheduling layer, react to
-// degradation; today the functional compute path always uses the caller's
-// method, keeping results bit-exact under faults.
-func (f *faultState) request(params *ckks.Parameters, keyID string, level int, m Method) {
+// request models one evaluation-key fetch of key id (whose method is m)
+// at the given level. A degraded decision only resizes the modeled
+// transfer: the functional compute path always uses the caller's method,
+// keeping results bit-exact under faults.
+func (f *faultState) request(params *ckks.Parameters, id trace.KeyID, level int, m Method) {
 	if f == nil {
 		return
 	}
-	method := costmodel.Hybrid
-	if m == KLSS {
-		method = costmodel.KLSS
-	}
-	d := aether.Decision{Level: level, Method: method, Hoist: 1}
+	d := aether.Decision{Level: level, Method: cmMethod(m), Hoist: 1}
 	size := evkBytes(params, level, m)
-	// Hybrid and KLSS use different physical keys: make the pool identity
-	// method-qualified.
-	keyID = m.String() + "/" + keyID
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -161,7 +154,7 @@ func (f *faultState) request(params *ckks.Parameters, keyID string, level int, m
 		d = dd
 		size = evkBytes(params, level, Hybrid)
 	}
-	tr := f.mgr.RequestKey(keyID, size, level, d)
+	tr := f.mgr.RequestKey(id, size, level, d)
 	f.stats.Transfers++
 	if tr.Hit {
 		f.stats.PoolHits++

@@ -2,7 +2,9 @@ package aether
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/fastfhe/fast/internal/arch"
@@ -31,7 +33,7 @@ func TestNewAnalyzerValidatesConfig(t *testing.T) {
 func TestAnalyzeBootstrapSelectsBothMethods(t *testing.T) {
 	a := analyzer(t, arch.FAST())
 	tr := workloads.Bootstrap(workloads.DefaultProfile())
-	plan, mct, err := a.Analyze(tr)
+	plan, mct, err := a.AnalyzeMCT(tr)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -73,7 +75,7 @@ func TestAnalyzeRespectsFeatureFlags(t *testing.T) {
 	cfg.EnableHoisting = false
 	a := analyzer(t, cfg)
 	tr := workloads.Bootstrap(workloads.DefaultProfile())
-	plan, _, err := a.Analyze(tr)
+	plan, err := a.Analyze(tr)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -98,7 +100,7 @@ func TestCapacityFilter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.Append(trace.Op{Kind: trace.HMult, Level: 30})
 	}
-	plan, _, err := a.Analyze(tr)
+	plan, err := a.Analyze(tr)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -113,7 +115,7 @@ func TestMCTContents(t *testing.T) {
 	a := analyzer(t, arch.FAST())
 	tr := &trace.Trace{Name: "one-rot"}
 	tr.Append(trace.Op{Kind: trace.HRot, Level: 20, Hoist: 4, Rotations: []int{1, 2, 3, 4}})
-	_, mct, err := a.Analyze(tr)
+	_, mct, err := a.AnalyzeMCT(tr)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -146,7 +148,7 @@ func TestMCTContents(t *testing.T) {
 func TestConfigFileRoundTrip(t *testing.T) {
 	a := analyzer(t, arch.FAST())
 	tr := workloads.Bootstrap(workloads.DefaultProfile())
-	plan, _, err := a.Analyze(tr)
+	plan, err := a.Analyze(tr)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -195,16 +197,82 @@ func TestDecisionForDefaults(t *testing.T) {
 
 func TestHoistCandidates(t *testing.T) {
 	a := analyzer(t, arch.FAST())
-	if got := a.hoistCandidates(8); len(got) != 4 || got[3] != 8 {
+	if got := a.hoistCandidates(nil, 8); len(got) != 4 || got[3] != 8 {
 		t.Errorf("hoistCandidates(8) = %v", got)
 	}
-	if got := a.hoistCandidates(6); got[len(got)-1] != 6 {
+	if got := a.hoistCandidates(nil, 6); got[len(got)-1] != 6 {
 		t.Errorf("hoistCandidates(6) should end with the full group, got %v", got)
 	}
 	cfg := arch.FAST()
 	cfg.EnableHoisting = false
 	b := analyzer(t, cfg)
-	if got := b.hoistCandidates(8); len(got) != 1 || got[0] != 1 {
+	if got := b.hoistCandidates(nil, 8); len(got) != 1 || got[0] != 1 {
 		t.Errorf("disabled hoisting should yield [1], got %v", got)
+	}
+}
+
+// DecisionFor only reads the file: two goroutines looking up decisions on
+// one fresh ConfigFile must not race (run under -race), and both must see
+// every decision.
+func TestDecisionForConcurrent(t *testing.T) {
+	c := &ConfigFile{}
+	for op := 0; op < 64; op += 2 {
+		c.Decisions = append(c.Decisions, Decision{OpIndex: op, Method: costmodel.KLSS, Hoist: 2})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op := 0; op < 64; op++ {
+				d := c.DecisionFor(op)
+				if want := op%2 == 0; (d.Method == costmodel.KLSS) != want || d.OpIndex != op {
+					errs <- fmt.Sprintf("op %d: got %+v", op, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// The cursor answers exactly like DecisionFor for increasing op indices,
+// including ops the file does not mention and a nil file.
+func TestCursorMatchesDecisionFor(t *testing.T) {
+	tr := workloads.Bootstrap(workloads.DefaultProfile())
+	plan, err := analyzer(t, arch.FAST()).Analyze(tr)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	for _, c := range []*ConfigFile{plan, nil, {}} {
+		cu := c.Cursor()
+		for op := 0; op <= len(tr.Ops); op++ {
+			if got, want := cu.DecisionFor(op), c.DecisionFor(op); got != want {
+				t.Fatalf("op %d: cursor %+v, DecisionFor %+v", op, got, want)
+			}
+		}
+	}
+}
+
+func TestLoadRejectsOutOfOrderDecisions(t *testing.T) {
+	for _, body := range []string{
+		`{"workload":"w","decisions":[{"op":5},{"op":3}]}`,
+		`{"workload":"w","decisions":[{"op":3},{"op":3}]}`,
+	} {
+		if _, err := Load(strings.NewReader(body)); err == nil {
+			t.Errorf("Load(%s) accepted decisions out of op order", body)
+		}
+	}
+	c, err := Load(strings.NewReader(`{"workload":"w","decisions":[{"op":1,"method":1,"hoist":1},{"op":4}]}`))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if d := c.DecisionFor(1); d.Method != costmodel.KLSS {
+		t.Errorf("DecisionFor(1) = %+v", d)
 	}
 }

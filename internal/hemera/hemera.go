@@ -8,11 +8,12 @@ package hemera
 
 import (
 	"container/list"
-	"fmt"
+	"strconv"
 
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
+	"github.com/fastfhe/fast/internal/trace"
 )
 
 // BatchBytes is the transfer granularity: Hemera groups 256 consecutive
@@ -47,7 +48,7 @@ const (
 
 // Transfer describes the traffic one key request generates.
 type Transfer struct {
-	KeyID   string
+	KeyID   trace.KeyID
 	Bytes   int64 // useful bytes moved from HBM (0 on a pool hit)
 	Batches int   // batch count of the useful movement
 	Hit     bool  // key was already resident
@@ -79,7 +80,7 @@ type Transfer struct {
 
 // PoolEntry is a resident evaluation key.
 type poolEntry struct {
-	id   string
+	id   trace.KeyID
 	size int64
 }
 
@@ -88,12 +89,12 @@ type Pool struct {
 	capacity int64
 	used     int64
 	order    *list.List // front = most recent
-	index    map[string]*list.Element
+	index    map[trace.KeyID]*list.Element
 }
 
 // NewPool returns a pool bounded by capacity bytes.
 func NewPool(capacity int64) *Pool {
-	return &Pool{capacity: capacity, order: list.New(), index: map[string]*list.Element{}}
+	return &Pool{capacity: capacity, order: list.New(), index: map[trace.KeyID]*list.Element{}}
 }
 
 // Used returns the resident bytes.
@@ -128,7 +129,7 @@ func (p *Pool) Flush(surviving float64) (evicted int) {
 }
 
 // Contains reports residency without touching recency.
-func (p *Pool) Contains(id string) bool {
+func (p *Pool) Contains(id trace.KeyID) bool {
 	_, ok := p.index[id]
 	return ok
 }
@@ -136,7 +137,7 @@ func (p *Pool) Contains(id string) bool {
 // Request makes the key resident, evicting least-recently-used keys as
 // needed, and reports whether it was already present. Keys bigger than the
 // pool are streamed (never resident) and always miss.
-func (p *Pool) Request(id string, size int64) (hit bool) {
+func (p *Pool) Request(id trace.KeyID, size int64) (hit bool) {
 	if el, ok := p.index[id]; ok {
 		p.order.MoveToFront(el)
 		return true
@@ -198,7 +199,7 @@ type Manager struct {
 
 	// address catalog: the Evk Pool of the paper stores HBM addresses per
 	// level and key kind; we model it to expose the lookups.
-	addresses map[string]uint64
+	addresses map[trace.KeyID]uint64
 	nextAddr  uint64
 
 	// inj is the optional fault injector (nil = fault-free, single pointer
@@ -234,7 +235,7 @@ func NewManager(capacityBytes int64, cfg *aether.ConfigFile) *Manager {
 		pool:      NewPool(capacityBytes),
 		recorder:  NewRecorder(),
 		cfg:       cfg,
-		addresses: map[string]uint64{},
+		addresses: map[trace.KeyID]uint64{},
 	}
 }
 
@@ -285,7 +286,7 @@ func (m *Manager) Decision(opIndex int) aether.Decision {
 
 // Address returns the stable HBM address of a key, allocating one on first
 // use (the pool catalog of §4.1.2).
-func (m *Manager) Address(keyID string, size int64) uint64 {
+func (m *Manager) Address(keyID trace.KeyID, size int64) uint64 {
 	if a, ok := m.addresses[keyID]; ok {
 		return a
 	}
@@ -301,8 +302,9 @@ func (m *Manager) Address(keyID string, size int64) uint64 {
 // monitor reads the file far ahead of execution: ~900 ns per lookup versus
 // ~80 us per key transfer, §7.2) or when the history recorder has seen the
 // same per-level pattern.
-func (m *Manager) RequestKey(keyID string, size int64, level int, d aether.Decision) Transfer {
-	if keyID == "" {
+// The zero KeyID ("no key") is a no-op.
+func (m *Manager) RequestKey(keyID trace.KeyID, size int64, level int, d aether.Decision) Transfer {
+	if keyID == 0 {
 		return Transfer{}
 	}
 	m.reqIndex++
@@ -460,5 +462,6 @@ func (m *Manager) PoolUsed() int64 { return m.pool.Used() }
 
 // String describes the manager state.
 func (m *Manager) String() string {
-	return fmt.Sprintf("hemera: %d keys catalogued, %d bytes resident", len(m.addresses), m.pool.Used())
+	return "hemera: " + strconv.Itoa(len(m.addresses)) + " keys catalogued, " +
+		strconv.FormatInt(m.pool.Used(), 10) + " bytes resident"
 }

@@ -6,17 +6,29 @@ import (
 
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/costmodel"
+	"github.com/fastfhe/fast/internal/trace"
+)
+
+// rotKey is a hybrid rotation key: the tests use rotation amounts to name
+// distinct keys.
+func rotKey(r int) trace.KeyID { return trace.NewKeyID(costmodel.Hybrid, trace.RotKey, r) }
+
+// Named test keys.
+var (
+	keyA, keyB, keyC, keyD, keyE = rotKey(1), rotKey(2), rotKey(3), rotKey(4), rotKey(5)
+	keyBig, keyWarm              = rotKey(100), rotKey(101)
+	keyK, keyK1, keyK2           = rotKey(200), rotKey(201), rotKey(202)
 )
 
 func TestPoolLRU(t *testing.T) {
 	p := NewPool(100)
-	if p.Request("a", 40) {
+	if p.Request(keyA, 40) {
 		t.Error("first request should miss")
 	}
-	if !p.Request("a", 40) {
+	if !p.Request(keyA, 40) {
 		t.Error("second request should hit")
 	}
-	p.Request("b", 40)
+	p.Request(keyB, 40)
 	if p.Used() != 80 {
 		t.Errorf("used = %d, want 80", p.Used())
 	}
@@ -24,12 +36,12 @@ func TestPoolLRU(t *testing.T) {
 	// later... a was touched more recently than b? a was requested twice,
 	// then b: LRU order is b oldest after a's second touch). Touch a to be
 	// explicit.
-	p.Request("a", 40)
-	p.Request("c", 40)
-	if p.Contains("b") {
+	p.Request(keyA, 40)
+	p.Request(keyC, 40)
+	if p.Contains(keyB) {
 		t.Error("b should have been evicted as LRU")
 	}
-	if !p.Contains("a") || !p.Contains("c") {
+	if !p.Contains(keyA) || !p.Contains(keyC) {
 		t.Error("a and c should be resident")
 	}
 	if p.Used() != 80 {
@@ -39,13 +51,13 @@ func TestPoolLRU(t *testing.T) {
 
 func TestPoolOversizedKeyStreams(t *testing.T) {
 	p := NewPool(10)
-	if p.Request("big", 100) {
+	if p.Request(keyBig, 100) {
 		t.Error("oversized key cannot hit")
 	}
 	if p.Used() != 0 {
 		t.Error("oversized key must not be retained")
 	}
-	if p.Request("big", 100) {
+	if p.Request(keyBig, 100) {
 		t.Error("oversized key misses every time")
 	}
 }
@@ -72,7 +84,7 @@ func TestManagerTransfers(t *testing.T) {
 	m := NewManager(1<<20, nil) // 1 MB pool, no config file
 	d := aether.Decision{Method: costmodel.Hybrid, Hoist: 1}
 
-	tr := m.RequestKey("hybrid/rot1", 512<<10, 5, d)
+	tr := m.RequestKey(trace.NewKeyID(costmodel.Hybrid, trace.RotKey, 1), 512<<10, 5, d)
 	if tr.Hit || tr.Bytes != 512<<10 {
 		t.Fatalf("first request: %+v", tr)
 	}
@@ -84,13 +96,13 @@ func TestManagerTransfers(t *testing.T) {
 		t.Errorf("batches = %d, want %d", tr.Batches, wantBatches)
 	}
 
-	tr = m.RequestKey("hybrid/rot1", 512<<10, 5, d)
+	tr = m.RequestKey(trace.NewKeyID(costmodel.Hybrid, trace.RotKey, 1), 512<<10, 5, d)
 	if !tr.Hit || tr.Bytes != 0 || tr.Batches != 0 {
 		t.Fatalf("second request should hit: %+v", tr)
 	}
 
 	// Same level pattern on a different key: history predicts it.
-	tr = m.RequestKey("hybrid/rot2", 512<<10, 5, d)
+	tr = m.RequestKey(trace.NewKeyID(costmodel.Hybrid, trace.RotKey, 2), 512<<10, 5, d)
 	if !tr.Prefetched {
 		t.Error("history recorder should predict the repeated level pattern")
 	}
@@ -99,7 +111,7 @@ func TestManagerTransfers(t *testing.T) {
 func TestManagerWithConfigFilePrefetches(t *testing.T) {
 	cfg := &aether.ConfigFile{Workload: "w"}
 	m := NewManager(1<<20, cfg)
-	tr := m.RequestKey("hybrid/relin", 100, 3, aether.Decision{})
+	tr := m.RequestKey(trace.NewKeyID(costmodel.Hybrid, trace.RelinKey, 0), 100, 3, aether.Decision{})
 	if !tr.Prefetched {
 		t.Error("config-file-driven requests are prefetched")
 	}
@@ -107,26 +119,26 @@ func TestManagerWithConfigFilePrefetches(t *testing.T) {
 
 func TestManagerEmptyKey(t *testing.T) {
 	m := NewManager(100, nil)
-	if tr := m.RequestKey("", 10, 0, aether.Decision{}); tr.Bytes != 0 || tr.Hit {
+	if tr := m.RequestKey(trace.KeyID(0), 10, 0, aether.Decision{}); tr.Bytes != 0 || tr.Hit {
 		t.Error("empty key id should be a no-op")
 	}
 }
 
 func TestAddressesStable(t *testing.T) {
 	m := NewManager(1<<20, nil)
-	a1 := m.Address("k1", 100)
-	a2 := m.Address("k2", 100)
+	a1 := m.Address(keyK1, 100)
+	a2 := m.Address(keyK2, 100)
 	if a1 == a2 {
 		t.Error("distinct keys need distinct addresses")
 	}
-	if m.Address("k1", 100) != a1 {
+	if m.Address(keyK1, 100) != a1 {
 		t.Error("address must be stable")
 	}
 }
 
 func TestManagerString(t *testing.T) {
 	m := NewManager(1<<20, nil)
-	m.RequestKey("k", 100, 0, aether.Decision{})
+	m.RequestKey(keyK, 100, 0, aether.Decision{})
 	s := m.String()
 	if !strings.Contains(s, "hemera") {
 		t.Errorf("String() = %q", s)

@@ -7,6 +7,7 @@ import (
 	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
+	"github.com/fastfhe/fast/internal/trace"
 )
 
 // ---- Pool eviction ordering under capacity pressure (degradation path
@@ -14,20 +15,20 @@ import (
 
 func TestPoolEvictionOrderUnderPressure(t *testing.T) {
 	p := NewPool(100)
-	p.Request("a", 30)
-	p.Request("b", 30)
-	p.Request("c", 30) // order MRU->LRU: c b a
-	p.Request("a", 30) // touch a: a c b
+	p.Request(keyA, 30)
+	p.Request(keyB, 30)
+	p.Request(keyC, 30) // order MRU->LRU: c b a
+	p.Request(keyA, 30) // touch a: a c b
 	if p.Len() != 3 || p.Used() != 90 {
 		t.Fatalf("resident %d keys / %d bytes, want 3/90", p.Len(), p.Used())
 	}
 	// A 40-byte key evicts exactly the LRU key b (freeing 30 is enough);
 	// c survives because eviction stops as soon as the key fits.
-	p.Request("d", 40)
-	if p.Contains("b") {
+	p.Request(keyD, 40)
+	if p.Contains(keyB) {
 		t.Error("b (LRU) should have been evicted first")
 	}
-	if !p.Contains("a") || !p.Contains("c") || !p.Contains("d") {
+	if !p.Contains(keyA) || !p.Contains(keyC) || !p.Contains(keyD) {
 		t.Error("a, c and d should be resident")
 	}
 	if p.Used() != 100 {
@@ -35,11 +36,11 @@ func TestPoolEvictionOrderUnderPressure(t *testing.T) {
 	}
 	// A further 40-byte key at full occupancy needs two evictions, strictly
 	// from the LRU end (order MRU->LRU is now d a c): c goes, then a.
-	p.Request("e", 40)
-	if p.Contains("c") || p.Contains("a") {
+	p.Request(keyE, 40)
+	if p.Contains(keyC) || p.Contains(keyA) {
 		t.Error("c and a should have been evicted in LRU order")
 	}
-	if !p.Contains("d") || !p.Contains("e") {
+	if !p.Contains(keyD) || !p.Contains(keyE) {
 		t.Error("d (recent) and e (incoming) should be resident")
 	}
 	if p.Used() != 80 {
@@ -49,15 +50,15 @@ func TestPoolEvictionOrderUnderPressure(t *testing.T) {
 
 func TestPoolFlush(t *testing.T) {
 	p := NewPool(100)
-	p.Request("a", 25)
-	p.Request("b", 25)
-	p.Request("c", 25)
-	p.Request("d", 25)
+	p.Request(keyA, 25)
+	p.Request(keyB, 25)
+	p.Request(keyC, 25)
+	p.Request(keyD, 25)
 	// Flush to half capacity: the two LRU keys (a, b) go.
 	if ev := p.Flush(0.5); ev != 2 {
 		t.Fatalf("evicted %d keys, want 2", ev)
 	}
-	if p.Contains("a") || p.Contains("b") || !p.Contains("c") || !p.Contains("d") {
+	if p.Contains(keyA) || p.Contains(keyB) || !p.Contains(keyC) || !p.Contains(keyD) {
 		t.Error("Flush must evict from the LRU end")
 	}
 	if p.Used() != 50 {
@@ -116,7 +117,7 @@ func TestFaultTransferRetryAccounting(t *testing.T) {
 	m := NewManager(1<<20, nil)
 	m.SetInjector(fault.NewInjector(fault.Plan{Seed: 1, TransferFailure: 1}))
 	const size = 1 << 16
-	tr := m.RequestKey("k", size, 0, reqDecision())
+	tr := m.RequestKey(keyK, size, 0, reqDecision())
 	if tr.Hit {
 		t.Fatal("first request cannot hit")
 	}
@@ -141,7 +142,7 @@ func TestFaultTransferCorruptionRefetchesWithoutBackoff(t *testing.T) {
 	m := NewManager(1<<20, nil)
 	m.SetInjector(fault.NewInjector(fault.Plan{Seed: 1, Corruption: 1}))
 	const size = 1 << 16
-	tr := m.RequestKey("k", size, 0, reqDecision())
+	tr := m.RequestKey(keyK, size, 0, reqDecision())
 	if tr.Refetches != maxTransferAttempts-1 {
 		t.Errorf("refetches = %d, want %d", tr.Refetches, maxTransferAttempts-1)
 	}
@@ -158,7 +159,7 @@ func TestFaultTransferTimeouts(t *testing.T) {
 	// SpikeFactor 10 > timeoutFactor 4: every spiked attempt times out.
 	m.SetInjector(fault.NewInjector(fault.Plan{Seed: 1, LatencySpike: 1, SpikeFactor: 10}))
 	const size = 1 << 16
-	tr := m.RequestKey("k", size, 0, reqDecision())
+	tr := m.RequestKey(keyK, size, 0, reqDecision())
 	if tr.Timeouts != maxTransferAttempts-1 {
 		t.Errorf("timeouts = %d, want %d", tr.Timeouts, maxTransferAttempts-1)
 	}
@@ -173,7 +174,7 @@ func TestFaultTransferTimeouts(t *testing.T) {
 	// (factor-1) x size extra channel occupancy.
 	m2 := NewManager(1<<20, nil)
 	m2.SetInjector(fault.NewInjector(fault.Plan{Seed: 1, LatencySpike: 1, SpikeFactor: 3}))
-	tr2 := m2.RequestKey("k", size, 0, reqDecision())
+	tr2 := m2.RequestKey(keyK, size, 0, reqDecision())
 	if tr2.Timeouts != 0 || tr2.Retries != 0 {
 		t.Errorf("mild spike must complete: %+v", tr2)
 	}
@@ -189,11 +190,11 @@ func TestPoolPressureFlushesAndDegrades(t *testing.T) {
 	// Every request suffers a pressure flush; after the second event inside
 	// the window the manager reports thrash and degrades KLSS/hoisted
 	// decisions to non-hoisted hybrid.
-	m.RequestKey("a", 1000, 0, d)
+	m.RequestKey(keyA, 1000, 0, d)
 	if m.Degraded() {
 		t.Fatal("one pressure event is not yet a burst")
 	}
-	m.RequestKey("b", 1000, 0, d)
+	m.RequestKey(keyB, 1000, 0, d)
 	if !m.Degraded() {
 		t.Fatal("two pressure events inside the window must degrade")
 	}
@@ -248,7 +249,7 @@ func TestResilienceMetrics(t *testing.T) {
 	m := NewManager(1<<20, nil)
 	m.SetObserver(o)
 	m.SetInjector(fault.NewInjector(fault.Plan{Seed: 4, TransferFailure: 1}))
-	m.RequestKey("k", 1<<12, 0, reqDecision())
+	m.RequestKey(keyK, 1<<12, 0, reqDecision())
 	reg := o.Reg()
 	if reg.Counter("hemera.retries").Value() != uint64(maxTransferAttempts-1) {
 		t.Errorf("hemera.retries = %d", reg.Counter("hemera.retries").Value())
@@ -261,11 +262,11 @@ func TestResilienceMetrics(t *testing.T) {
 	}
 	// Detaching zeroes the instrument set without breaking requests.
 	m.SetObserver(nil)
-	m.RequestKey("k2", 1<<12, 0, reqDecision())
+	m.RequestKey(keyK2, 1<<12, 0, reqDecision())
 }
 
-func keyName(i int) string {
-	return string(rune('a'+i%26)) + "key"
+func keyName(i int) trace.KeyID {
+	return rotKey(i % 26)
 }
 
 // ---- Zero-cost disabled path. ----
@@ -277,9 +278,9 @@ func TestNilInjectorRequestKeyZeroAllocs(t *testing.T) {
 	m := NewManager(1<<20, nil)
 	m.DisablePrefetch = true
 	d := reqDecision()
-	m.RequestKey("warm", 1<<10, 0, d) // populate the pool
+	m.RequestKey(keyWarm, 1<<10, 0, d) // populate the pool
 	allocs := testing.AllocsPerRun(100, func() {
-		m.RequestKey("warm", 1<<10, 0, d) // pure hit path
+		m.RequestKey(keyWarm, 1<<10, 0, d) // pure hit path
 	})
 	if allocs != 0 {
 		t.Errorf("nil-injector hit path allocates %.0f objects per request, want 0", allocs)

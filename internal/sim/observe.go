@@ -61,8 +61,8 @@ func (s *Simulator) traceSetup(tr *obs.Tracer) {
 // ops track, each kernel's busy window on its component track, and the key
 // transfer on the HBM track. startCy is the op's position on the serialized
 // compute pipeline.
-func (s *Simulator) traceOp(tr *obs.Tracer, idx int, op trace.Op, w opWork,
-	startCy, computeCy, transferCy float64, busy map[arch.Component]float64) {
+func (s *Simulator) traceOp(tr *obs.Tracer, idx int, op *trace.Op, w opWork,
+	startCy, computeCy, transferCy float64, busy *[len(busyComponents)]float64) {
 	args := map[string]any{"idx": idx, "level": op.Level}
 	if op.Kind.NeedsKeySwitch() {
 		args["method"] = w.method.String()
@@ -76,11 +76,11 @@ func (s *Simulator) traceOp(tr *obs.Tracer, idx int, op trace.Op, w opWork,
 	ts := s.cyclesToMicros(startCy)
 	tr.Complete(op.Kind.String(), "sim.op", TracePIDSimulator, simTIDOps,
 		ts, s.cyclesToMicros(computeCy), args)
-	for c, cy := range busy {
+	for i, cy := range busy {
 		if cy <= 0 {
 			continue
 		}
-		tr.Complete(op.Kind.String(), "sim.kernel", TracePIDSimulator, componentTID[c],
+		tr.Complete(op.Kind.String(), "sim.kernel", TracePIDSimulator, componentTID[busyComponents[i]],
 			ts, s.cyclesToMicros(cy), nil)
 	}
 	if transferCy > 0 {
@@ -119,6 +119,7 @@ func (s *Simulator) publish(tr *trace.Trace, res *Result) {
 	for phase, cy := range res.PhaseCycles {
 		reg.FloatGauge("sim.phase_cycles." + phase).Set(cy)
 	}
+	decisions := s.plan.Cursor()
 	for idx, op := range tr.Ops {
 		reg.Counter("sim.op." + op.Kind.String() + ".count").Inc()
 		if !op.Kind.NeedsKeySwitch() {
@@ -126,7 +127,7 @@ func (s *Simulator) publish(tr *trace.Trace, res *Result) {
 		}
 		// Aether decision tallies: which backend the plan picked, and whether
 		// it exploited hoisting.
-		d := s.plan.DecisionFor(idx)
+		d := decisions.DecisionFor(idx)
 		if d.Method == costmodel.KLSS {
 			reg.Counter("aether.decision.klss").Inc()
 		} else {

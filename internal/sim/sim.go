@@ -16,8 +16,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/arch"
 	"github.com/fastfhe/fast/internal/costmodel"
@@ -151,31 +149,54 @@ func (s *Simulator) throughput(c arch.Component, bits int) float64 {
 	return unitFactor[c] * float64(s.cfg.Lanes()) * perUnit
 }
 
+// rates are the per-run constants of the kernel timing model for one kernel
+// width: component throughputs and AutoU words per cycle.
+type rates struct {
+	ntt, bconv, kmu, aem, auto float64
+}
+
+// ratesFor evaluates the timing constants for a kernel width.
+func (s *Simulator) ratesFor(bits int) rates {
+	// AutoU permutes lanes-wide words (512 at 36-bit, 256 at 60-bit).
+	auto := float64(s.cfg.Lanes())
+	if bits == 36 {
+		auto *= 2
+	}
+	return rates{
+		ntt:   s.throughput(arch.NTTU, bits),
+		bconv: s.throughput(arch.BConvU, bits),
+		kmu:   s.throughput(arch.KMU, bits),
+		aem:   s.throughput(arch.AEM, bits),
+		auto:  auto,
+	}
+}
+
 // opWork maps one trace op (under a decision) to kernel work, key traffic
 // and bookkeeping.
 type opWork struct {
 	bd        costmodel.Breakdown
 	bits      int
 	method    costmodel.Method
-	keyIDs    []string
+	keyIDs    []trace.KeyID
 	keyBytes  int64
 	autoElems float64 // automorphism traffic (AutoU, no multiplies)
 }
 
-// classify maps one trace op to kernel work, key traffic and bookkeeping.
-// For key-switching ops d is the (possibly degradation-adjusted) Aether
+// classify maps one trace op to kernel work, key traffic and bookkeeping,
+// appending the op's key IDs to keys (the caller's reused buffer). For
+// key-switching ops d is the (possibly degradation-adjusted) Aether
 // decision; other kinds ignore it.
-func (s *Simulator) classify(op trace.Op, d aether.Decision) opWork {
+func (s *Simulator) classify(op *trace.Op, d aether.Decision, keys []trace.KeyID) opWork {
 	n := float64(s.params.N())
 	k := float64(op.Level + 1)
-	w := opWork{bits: 36, method: costmodel.Hybrid}
+	w := opWork{bits: 36, method: costmodel.Hybrid, keyIDs: keys[:0]}
 	switch op.Kind {
 	case trace.HMult:
 		w.method = d.Method
 		w.bits = kernelBits(d.Method)
 		w.bd = s.params.KeySwitch(d.Method, op.Level, 1)
 		w.bd.Other += 4 * k * n // tensor products
-		w.keyIDs = []string{fmt.Sprintf("%v/relin", d.Method)}
+		w.keyIDs = append(w.keyIDs, op.KeyID(d.Method, 0))
 		w.keyBytes = s.params.EvkBytes(d.Method, op.Level) / 2 // EKG: part a regenerated on chip
 	case trace.HRot:
 		w.method = d.Method
@@ -187,7 +208,7 @@ func (s *Simulator) classify(op trace.Op, d aether.Decision) opWork {
 		groups := (op.HoistCount() + h - 1) / h
 		w.bd = s.params.KeySwitch(d.Method, op.Level, h).Scale(float64(groups))
 		for _, r := range op.Rotations {
-			w.keyIDs = append(w.keyIDs, fmt.Sprintf("%v/rot%d", d.Method, r))
+			w.keyIDs = append(w.keyIDs, op.KeyID(d.Method, r))
 		}
 		w.keyBytes = s.params.EvkBytes(d.Method, op.Level) / 2 // EKG: part a regenerated on chip
 		w.autoElems = float64(op.HoistCount()) * k * n
@@ -204,6 +225,10 @@ func (s *Simulator) classify(op trace.Op, d aether.Decision) opWork {
 	}
 	return w
 }
+
+// busyComponents are the compute components Run accumulates busy time for,
+// in the order of its busy array.
+var busyComponents = [...]arch.Component{arch.NTTU, arch.BConvU, arch.KMU, arch.AEM, arch.AutoU}
 
 // Run executes the trace and returns the metrics.
 func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
@@ -235,9 +260,21 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 		res.FaultPlan = s.faultPlan.String()
 	}
 
+	// Per-run constants of the timing model, by kernel width.
+	r36, r60 := s.ratesFor(36), s.ratesFor(60)
+	bytesPerCycle := s.cfg.BytesPerCycle()
+
+	var (
+		busy      [len(busyComponents)]float64 // indexed like busyComponents
+		keys      []trace.KeyID                // reused key-ID buffer
+		phase     string                       // phase of the running PhaseCycles sum
+		phaseCy   float64                      // running PhaseCycles[phase]
+		decisions = s.plan.Cursor()
+	)
 	computeCy := 0.0
-	for idx, op := range tr.Ops {
-		d := s.plan.DecisionFor(idx)
+	for idx := range tr.Ops {
+		op := &tr.Ops[idx]
+		d := decisions.DecisionFor(idx)
 		if op.Kind.NeedsKeySwitch() {
 			// Graceful degradation: while Hemera observes sustained prefetch
 			// misses or pool thrash, the op falls back to the smallest-key
@@ -247,29 +284,27 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 				res.DegradedDecisions++
 			}
 		}
-		w := s.classify(op, d)
+		w := s.classify(op, d, keys)
+		keys = w.keyIDs
 		res.Ops = res.Ops.Add(w.bd)
 
 		// Kernel times on their components.
-		tNTT := w.bd.NTT / s.throughput(arch.NTTU, w.bits)
-		tBC := w.bd.BConv / s.throughput(arch.BConvU, w.bits)
-		tKM := w.bd.KeyMult / s.throughput(arch.KMU, w.bits)
-		tOth := w.bd.Other / s.throughput(arch.AEM, w.bits)
-		// AutoU permutes lanes-wide words (512 at 36-bit, 256 at 60-bit).
-		autoPerCycle := float64(s.cfg.Lanes())
-		if w.bits == 36 {
-			autoPerCycle *= 2
+		rt := &r36
+		if w.bits != 36 {
+			rt = &r60
 		}
-		tAuto := w.autoElems / autoPerCycle
-
-		res.ComponentBusy[arch.NTTU] += tNTT
-		res.ComponentBusy[arch.BConvU] += tBC
-		res.ComponentBusy[arch.KMU] += tKM
-		res.ComponentBusy[arch.AEM] += tOth
-		res.ComponentBusy[arch.AutoU] += tAuto
+		tNTT := w.bd.NTT / rt.ntt
+		tBC := w.bd.BConv / rt.bconv
+		tKM := w.bd.KeyMult / rt.kmu
+		tOth := w.bd.Other / rt.aem
+		tAuto := w.autoElems / rt.auto
+		opBusy := [len(busyComponents)]float64{tNTT, tBC, tKM, tOth, tAuto}
+		for i, t := range opBusy {
+			busy[i] += t
+		}
 
 		compute := tNTT
-		for _, t := range []float64{tBC, tKM, tOth, tAuto} {
+		for _, t := range opBusy[1:] {
 			if t > compute {
 				compute = t
 			}
@@ -300,20 +335,16 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 				res.Timeouts += t.Timeouts
 				res.Refetches += t.Refetches
 				res.WastedEvkBytes += t.WastedBytes
-				transfer += float64(t.Bytes+t.WastedBytes) / s.cfg.BytesPerCycle()
+				transfer += float64(t.Bytes+t.WastedBytes) / bytesPerCycle
 				if t.BackoffBytes > 0 {
-					backoff := float64(t.BackoffBytes) / s.cfg.BytesPerCycle()
+					backoff := float64(t.BackoffBytes) / bytesPerCycle
 					res.BackoffCy += backoff
 					res.StallCy += backoff
 				}
 			}
 		}
 		if otr != nil {
-			s.traceOp(otr, idx, op, w, computeCy, compute, transfer,
-				map[arch.Component]float64{
-					arch.NTTU: tNTT, arch.BConvU: tBC, arch.KMU: tKM,
-					arch.AEM: tOth, arch.AutoU: tAuto,
-				})
+			s.traceOp(otr, idx, op, w, computeCy, compute, transfer, &opBusy)
 		}
 		res.TransferCy += transfer
 		computeCy += compute
@@ -328,8 +359,24 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 		if op.Kind.NeedsKeySwitch() {
 			res.MethodCycles[w.method] += compute
 		}
-		if op.Phase != "" {
-			res.PhaseCycles[op.Phase] += compute
+		if op.Phase != phase {
+			// Ops of one phase are contiguous: keep the phase's sum in a
+			// local and store it when the phase changes.
+			if phase != "" {
+				res.PhaseCycles[phase] = phaseCy
+			}
+			phase, phaseCy = op.Phase, res.PhaseCycles[op.Phase]
+		}
+		if phase != "" {
+			phaseCy += compute
+		}
+	}
+	if phase != "" {
+		res.PhaseCycles[phase] = phaseCy
+	}
+	if len(tr.Ops) > 0 {
+		for i, c := range busyComponents {
+			res.ComponentBusy[c] = busy[i]
 		}
 	}
 
@@ -377,8 +424,7 @@ func (s *Simulator) energy(res *Result) {
 
 // Plans for the execution-time breakdown study (Fig. 10): OneKSW uses only
 // the non-hoisted hybrid method, Hoisting adds hoisting but keeps hybrid,
-// Aether enables the full dual-method selection. Each returns the plan and
-// the analyzer's MCT.
+// Aether enables the full dual-method selection.
 func Plan(params costmodel.Params, cfg arch.Config, tr *trace.Trace, enableKLSS, enableHoisting bool) (*aether.ConfigFile, error) {
 	cfg.EnableKLSS = enableKLSS
 	cfg.EnableHoisting = enableHoisting
@@ -386,6 +432,5 @@ func Plan(params costmodel.Params, cfg arch.Config, tr *trace.Trace, enableKLSS,
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := an.Analyze(tr)
-	return plan, err
+	return an.Analyze(tr)
 }

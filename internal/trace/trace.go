@@ -12,7 +12,12 @@
 // hardware-aligned kernels" (§6.1).
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+
+	"github.com/fastfhe/fast/internal/costmodel"
+)
 
 // OpKind enumerates the FHE operations of the CKKS scheme (paper §2.1.2).
 type OpKind int
@@ -62,7 +67,7 @@ func (k OpKind) String() string {
 	case ModRaise:
 		return "ModRaise"
 	default:
-		return fmt.Sprintf("OpKind(%d)", int(k))
+		return "OpKind(" + strconv.Itoa(int(k)) + ")"
 	}
 }
 
@@ -91,18 +96,51 @@ type Op struct {
 	CtID int
 }
 
-// KeyID returns the evaluation-key identity the op needs under the given
-// key-switching method ("" when no key is required). Rotation keys are
-// per-rotation-amount; relinearisation keys are shared. Hemera uses these
-// identities for pool residency and prefetch decisions.
-func (o Op) KeyID(method string, rotation int) string {
+// KeyKind is the kind of evaluation key a KeyID names.
+type KeyKind uint8
+
+const (
+	// NoKey is the kind of the zero KeyID: the op needs no key.
+	NoKey KeyKind = iota
+	// RelinKey is the relinearisation key (shared by every HMult).
+	RelinKey
+	// RotKey is a rotation (Galois) key, one per rotation amount.
+	RotKey
+	// ConjKey is the conjugation key.
+	ConjKey
+)
+
+// KeyID is an evaluation-key identity: the key-switching method, the key
+// kind and (rotation keys only) the rotation amount, packed into one
+// comparable integer so pools and catalogs index keys without formatting
+// them. Bits 0-7 hold the kind, bits 8-15 the method and bits 32-63 the
+// rotation as a two's-complement int32. The zero KeyID means "no key".
+type KeyID uint64
+
+// NewKeyID packs a key identity. The rotation is kept for rotation keys
+// only; the other kinds have one key per method. NoKey yields the zero ID.
+func NewKeyID(m costmodel.Method, kind KeyKind, rotation int) KeyID {
+	if kind == NoKey {
+		return 0
+	}
+	if kind != RotKey {
+		rotation = 0
+	}
+	return KeyID(kind) | KeyID(uint8(m))<<8 | KeyID(uint32(int32(rotation)))<<32
+}
+
+// KeyID returns the evaluation key the op needs under the given
+// key-switching method (the zero ID when no key is required). Rotation keys
+// are per-rotation-amount; relinearisation keys are shared. Hemera uses
+// these identities for pool residency and prefetch decisions.
+func (o Op) KeyID(m costmodel.Method, rotation int) KeyID {
 	switch o.Kind {
 	case HMult:
-		return fmt.Sprintf("%s/relin", method)
+		return NewKeyID(m, RelinKey, 0)
 	case HRot:
-		return fmt.Sprintf("%s/rot%d", method, rotation)
+		return NewKeyID(m, RotKey, rotation)
 	default:
-		return ""
+		return 0
 	}
 }
 

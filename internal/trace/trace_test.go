@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+
+	"github.com/fastfhe/fast/internal/costmodel"
+)
 
 func TestOpKindStrings(t *testing.T) {
 	kinds := []OpKind{HMult, HRot, PMult, PAdd, HAdd, CMult, Rescale, ModRaise}
@@ -28,17 +33,49 @@ func TestNeedsKeySwitch(t *testing.T) {
 	}
 }
 
+// Key IDs must be distinct across both methods, every key kind and
+// rotations -64..64 (negative and zero included), and never collide with
+// the zero "no key" value.
 func TestKeyID(t *testing.T) {
+	seen := map[KeyID]string{}
+	add := func(m costmodel.Method, kind KeyKind, rot int) {
+		t.Helper()
+		id := NewKeyID(m, kind, rot)
+		desc := m.String() + "/" + strconv.Itoa(int(kind)) + "/" + strconv.Itoa(rot)
+		if id == 0 {
+			t.Fatalf("%s packs to the zero (no key) ID", desc)
+		}
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("%s and %s share ID %#x", desc, prev, uint64(id))
+		}
+		seen[id] = desc
+	}
+	for _, m := range []costmodel.Method{costmodel.Hybrid, costmodel.KLSS} {
+		add(m, RelinKey, 0)
+		add(m, ConjKey, 0)
+		for r := -64; r <= 64; r++ {
+			add(m, RotKey, r)
+		}
+	}
+
+	// Relin and conj keys ignore the rotation argument.
+	if NewKeyID(costmodel.KLSS, RelinKey, 5) != NewKeyID(costmodel.KLSS, RelinKey, 0) {
+		t.Error("relin key must not depend on the rotation")
+	}
+	if NewKeyID(costmodel.Hybrid, NoKey, 5) != 0 {
+		t.Error("NoKey must pack to the zero ID")
+	}
+
 	mult := Op{Kind: HMult, Level: 3}
-	if got := mult.KeyID("hybrid", 0); got != "hybrid/relin" {
-		t.Errorf("HMult key id %q", got)
+	if got := mult.KeyID(costmodel.Hybrid, 0); got != NewKeyID(costmodel.Hybrid, RelinKey, 0) {
+		t.Errorf("HMult key id %#x", uint64(got))
 	}
-	rot := Op{Kind: HRot, Level: 3, Rotations: []int{5}}
-	if got := rot.KeyID("klss", 5); got != "klss/rot5" {
-		t.Errorf("HRot key id %q", got)
+	rot := Op{Kind: HRot, Level: 3, Rotations: []int{-5}}
+	if got := rot.KeyID(costmodel.KLSS, -5); got != NewKeyID(costmodel.KLSS, RotKey, -5) {
+		t.Errorf("HRot key id %#x", uint64(got))
 	}
-	if got := (Op{Kind: PMult}).KeyID("hybrid", 0); got != "" {
-		t.Errorf("PMult should have no key, got %q", got)
+	if got := (Op{Kind: PMult}).KeyID(costmodel.Hybrid, 0); got != 0 {
+		t.Errorf("PMult should have no key, got %#x", uint64(got))
 	}
 }
 

@@ -208,8 +208,7 @@ func PlanWorkload(w Workload, acc Accelerator) (*aether.ConfigFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := an.Analyze(w.tr)
-	return plan, err
+	return an.Analyze(w.tr)
 }
 
 // PublishedBaselines exposes the prior-accelerator reference rows the paper
