@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCiphertextMarshal -fuzztime 10s ./internal/ckks
 	$(GO) test -run '^$$' -fuzz FuzzContextConfig -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzSessionSnapshot -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzIdemJournal -fuzztime 10s ./cmd/fastd
 
 # Observability smoke gate: boot the real fastd through run(), drive one
 # evaluation with a pinned request ID, and assert every surface's contract —

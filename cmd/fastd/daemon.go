@@ -156,9 +156,14 @@ type session struct {
 	lruEl    *list.Element
 	lastUsed time.Time
 
+	// journalRecs counts the records in the on-disk idempotency journal,
+	// duplicates and aged-out keys included: set on restore, bumped per
+	// append, reset by compaction.
+	journalRecs atomic.Int64
+
 	mu           sync.Mutex
 	lastRecovery int  // Retries+Timeouts+Refetches watermark for breaker deltas
-	persisted    bool // on-disk snapshot is current (guards re-save on evict)
+	persisted    bool // on-disk snapshot and epoch record are current (guards re-save on evict)
 }
 
 // faultRecoveryDelta returns the growth of the session's fault-recovery
@@ -227,6 +232,10 @@ type daemon struct {
 	mShardMigrated *obs.Counter
 	mShardLost     *obs.Counter
 	mShardDown     *obs.Counter
+
+	mRestoreNs       *obs.Histogram // fastd.session.restore_ns
+	mEvictNs         *obs.Histogram // fastd.session.evict_ns
+	mJournalRewrites *obs.Counter   // fastd.store.journal_rewrites
 }
 
 func newDaemon(cfg daemonConfig) (*daemon, error) {
@@ -260,6 +269,9 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.mShardMigrated = reg.Counter("fastd.shard.sessions_migrated")
 		d.mShardLost = reg.Counter("fastd.shard.sessions_lost")
 		d.mShardDown = reg.Counter("fastd.shard.down_refusals")
+		d.mRestoreNs = reg.Histogram("fastd.session.restore_ns")
+		d.mEvictNs = reg.Histogram("fastd.session.evict_ns")
+		d.mJournalRewrites = reg.Counter("fastd.store.journal_rewrites")
 	}
 	residentSlices := splitResident(cfg.MaxResident, cfg.Shards)
 	d.shards = make([]*evalShard, cfg.Shards)

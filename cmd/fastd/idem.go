@@ -8,10 +8,9 @@ import (
 
 // idemRecord is one completed idempotent request as journaled on disk and
 // replayed to retries: the key, the recorded HTTP outcome and the exact
-// response body the original caller saw. Body is []byte (base64 on the wire)
-// rather than json.RawMessage so the journal round-trip is byte-exact —
-// RawMessage would be re-compacted on marshal and a replay would no longer
-// compare equal to the original response.
+// response body the original caller saw. The journal stores it as a binary
+// frame (persist.go); the JSON tags decode journals written as JSON lines
+// before that format, whose Body is base64.
 type idemRecord struct {
 	Key    string `json:"key"`
 	Status int    `json:"status"`

@@ -152,11 +152,12 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 // decode, a Restores bump (fresh encryptor randomness epoch — a restored
 // session must never replay pre-crash encryption randomness), key expansion
 // against the deterministically recompiled parameters, and an idempotency
-// table rebuilt from the journal. The bumped metadata is re-persisted so the
-// NEXT crash also lands on a fresh epoch, and the journal is compacted to the
-// rebuilt table's bounded window so repeated evict/restore cycles cannot grow
-// it without bound.
+// table rebuilt from the journal. The bumped count is made durable in the
+// session's epoch record so the NEXT crash also lands on a fresh epoch; the
+// snapshot itself is not rewritten, and the journal only when it holds more
+// than IdemCap records (or must be rewritten, see loadIdem).
 func (d *daemon) restoreSession(sh *evalShard, id string) (*session, error) {
+	defer d.mRestoreNs.ObserveSince(time.Now())
 	snap, err := d.store.loadSnapshot(id)
 	if err != nil {
 		return nil, err
@@ -189,17 +190,33 @@ func (d *daemon) restoreSession(sh *evalShard, id string) (*session, error) {
 		idem:  newIdemTable(d.cfg.IdemCap),
 		meta:  snap.Meta,
 	}
-	for _, rec := range d.store.loadIdem(id) {
+	recs, clean := d.store.loadIdem(id)
+	for _, rec := range recs {
 		sess.idem.insert(rec)
 	}
-	// Compaction on restore: the journal on disk may hold every append since
-	// the last evict (or arbitrarily many across crash loops); rewrite it to
-	// exactly the surviving window so the file stays bounded by IdemCap.
-	if err := d.store.rewriteIdem(id, sess.idem.records()); err != nil {
-		d.logger.Warn("idempotency journal compaction failed", "session", id, "error", err.Error())
-	}
-	sess.persisted = d.store.saveSnapshotRetry(fctx, sess.meta) == nil
+	sess.journalRecs.Store(int64(len(recs)))
+	d.compactJournal(sess, !clean)
+	sess.persisted = d.store.saveEpochRetry(id, sess.meta.Restores) == nil
 	return sess, nil
+}
+
+// compactJournal rewrites a session's idempotency journal to its bounded
+// in-memory window when the file holds more than IdemCap records, or when
+// force is set. Within the cap the journal is left alone: restore and evict
+// then cost no journal I/O beyond the one read at restore, and the file
+// stays bounded by IdemCap after an evict and IdemCap plus the appends since
+// then after a restore.
+func (d *daemon) compactJournal(s *session, force bool) {
+	if !force && s.journalRecs.Load() <= int64(d.cfg.IdemCap) {
+		return
+	}
+	recs := s.idem.records()
+	if err := d.store.rewriteIdem(s.id, recs); err != nil {
+		d.logger.Warn("idempotency journal compaction failed", "session", s.id, "error", err.Error())
+		return
+	}
+	s.journalRecs.Store(int64(len(recs)))
+	d.mJournalRewrites.Inc()
 }
 
 // touch marks a session recently used (LRU front + idle clock reset) on its
@@ -243,12 +260,13 @@ func (d *daemon) enforceResident(sh *evalShard) {
 }
 
 // evictSession releases one resident session to disk: snapshot-if-dirty,
-// journal compaction to the bounded in-memory window, then an atomic
-// resident→persisted registry flip (shard map + owner table together) and
-// plan-cache drop. Returns false when the session could not be persisted —
-// losing key material to enforce a memory bound is never acceptable, so the
-// session stays resident (counted via fastd.store.write_failures).
+// journal compaction when over IdemCap, then an atomic resident→persisted
+// registry flip (shard map + owner table together) and plan-cache drop.
+// Returns false when the session could not be persisted — losing key
+// material to enforce a memory bound is never acceptable, so the session
+// stays resident (counted via fastd.store.write_failures).
 func (d *daemon) evictSession(sh *evalShard, victim *session) bool {
+	defer d.mEvictNs.ObserveSince(time.Now())
 	victim.mu.Lock()
 	dirty := !victim.persisted
 	victim.mu.Unlock()
@@ -260,9 +278,7 @@ func (d *daemon) evictSession(sh *evalShard, victim *session) bool {
 		victim.persisted = true
 		victim.mu.Unlock()
 	}
-	if err := d.store.rewriteIdem(victim.id, victim.idem.records()); err != nil {
-		d.logger.Warn("idempotency journal compaction failed", "session", victim.id, "error", err.Error())
-	}
+	d.compactJournal(victim, false)
 
 	d.mu.Lock()
 	sh.mu.Lock()
@@ -380,8 +396,8 @@ func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *s
 		if rr.recordable() {
 			// Durability BEFORE release: once the client can observe this
 			// response, a post-crash retry must find its record.
-			if d.store != nil {
-				d.store.appendIdemRetry(sess.id, idemRecord{Key: key, Status: rr.status, Body: rr.body})
+			if d.store != nil && d.store.appendIdemRetry(sess.id, idemRecord{Key: key, Status: rr.status, Body: rr.body}) == nil {
+				sess.journalRecs.Add(1)
 			}
 			sess.idem.complete(e, rr.status, rr.body)
 			d.mIdemRecorded.Inc()

@@ -146,6 +146,7 @@ func assertPrometheusText(t *testing.T, base string) {
 	for _, want := range []string{
 		"serve_latency_p50_ns", "serve_latency_p90_ns", "serve_latency_p99_ns",
 		"serve_latency_ns_bucket", "http_requests_inflight", "obs_trace_dropped",
+		"fastd_session_restore_ns_bucket", "fastd_session_evict_ns_bucket", "fastd_store_journal_rewrites",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, text)

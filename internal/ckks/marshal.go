@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/fastfhe/fast/internal/ring"
 )
@@ -47,21 +48,112 @@ func readHeader(r io.Reader, wantTag byte) error {
 	return nil
 }
 
+// wireChunkWords is the staging size, in coefficients, of the word codec
+// below: coefficients are encoded little-endian into a pooled 32 KiB buffer
+// and written chunk by chunk, so neither direction allocates a copy of the
+// backing (encoding/binary's Write/Read of a []uint64 allocates a full one).
+const wireChunkWords = 4096
+
+var wireChunks = sync.Pool{New: func() any { return new([wireChunkWords * 8]byte) }}
+
+// writeWords writes words to w as little-endian uint64s.
+func writeWords(w io.Writer, words []uint64) error {
+	buf := wireChunks.Get().(*[wireChunkWords * 8]byte)
+	defer wireChunks.Put(buf)
+	for len(words) > 0 {
+		n := min(len(words), wireChunkWords)
+		for i, v := range words[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], v)
+		}
+		if _, err := w.Write(buf[:8*n]); err != nil {
+			return err
+		}
+		words = words[n:]
+	}
+	return nil
+}
+
+// readWords fills words from r's little-endian uint64s. Like io.ReadFull it
+// returns io.EOF only when no byte was read, io.ErrUnexpectedEOF on a short
+// read after that.
+func readWords(r io.Reader, words []uint64) error {
+	buf := wireChunks.Get().(*[wireChunkWords * 8]byte)
+	defer wireChunks.Put(buf)
+	for read := 0; len(words) > 0; read++ {
+		n := min(len(words), wireChunkWords)
+		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		for i := range words[:n] {
+			words[i] = binary.LittleEndian.Uint64(buf[8*i:])
+		}
+		words = words[n:]
+	}
+	return nil
+}
+
+// writeU32s writes a short fixed header of little-endian uint32s (at most
+// two).
+func writeU32s(w io.Writer, vs ...uint32) error {
+	var buf [8]byte
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(buf[4*i:], v)
+	}
+	_, err := w.Write(buf[:4*len(vs)])
+	return err
+}
+
+// readU32s reads len(vs) little-endian uint32s (at most two).
+func readU32s(r io.Reader, vs []uint32) error {
+	var buf [8]byte
+	if _, err := io.ReadFull(r, buf[:4*len(vs)]); err != nil {
+		return err
+	}
+	for i := range vs {
+		vs[i] = binary.LittleEndian.Uint32(buf[4*i:])
+	}
+	return nil
+}
+
+// writeLevelScale writes the (int32 level, float64 scale) head of
+// ciphertexts and plaintexts.
+func writeLevelScale(w io.Writer, level int, scale float64) error {
+	var buf [12]byte
+	binary.LittleEndian.PutUint32(buf[:], uint32(int32(level)))
+	binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(scale))
+	_, err := w.Write(buf[:])
+	return err
+}
+
+// readLevelScale is the inverse of writeLevelScale.
+func readLevelScale(r io.Reader) (level int, scale float64, err error) {
+	var buf [12]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return 0, 0, err
+	}
+	return int(int32(binary.LittleEndian.Uint32(buf[:]))), math.Float64frombits(binary.LittleEndian.Uint64(buf[4:])), nil
+}
+
+// polyWireSize is the number of bytes writePoly emits for p.
+func polyWireSize(p ring.Poly) int { return 2 + 8 + 8*p.Limbs()*p.N() }
+
 func writePoly(w io.Writer, p ring.Poly) error {
 	if err := writeHeader(w, tagPoly); err != nil {
 		return err
 	}
-	hdr := [2]uint32{uint32(p.Limbs()), uint32(p.N())}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
+	if err := writeU32s(w, uint32(p.Limbs()), uint32(p.N())); err != nil {
 		return err
 	}
 	// Arena fast path: the contiguous backing is the limb rows concatenated in
-	// order, so one binary.Write emits bytes identical to the per-row loop.
+	// order, so one pass emits bytes identical to the per-row loop.
 	if len(p.Backing) == p.Limbs()*p.N() {
-		return binary.Write(w, binary.LittleEndian, p.Backing)
+		return writeWords(w, p.Backing)
 	}
 	for _, limb := range p.Coeffs {
-		if err := binary.Write(w, binary.LittleEndian, limb); err != nil {
+		if err := writeWords(w, limb); err != nil {
 			return err
 		}
 	}
@@ -73,7 +165,7 @@ func readPoly(r io.Reader) (ring.Poly, error) {
 		return ring.Poly{}, err
 	}
 	var hdr [2]uint32
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+	if err := readU32s(r, hdr[:]); err != nil {
 		return ring.Poly{}, err
 	}
 	limbs, n := int(hdr[0]), int(hdr[1])
@@ -82,7 +174,7 @@ func readPoly(r io.Reader) (ring.Poly, error) {
 	}
 	p := ring.NewPoly(n, limbs)
 	// One pass over the arena backing (row-concatenation order on the wire).
-	if err := binary.Read(r, binary.LittleEndian, p.Backing); err != nil {
+	if err := readWords(r, p.Backing); err != nil {
 		return ring.Poly{}, err
 	}
 	return p, nil
@@ -93,11 +185,7 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 	if err := writeHeader(w, tagCiphertext); err != nil {
 		return err
 	}
-	meta := struct {
-		Level int32
-		Scale float64
-	}{int32(ct.Level), ct.Scale}
-	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+	if err := writeLevelScale(w, ct.Level, ct.Scale); err != nil {
 		return err
 	}
 	if err := writePoly(w, ct.C0); err != nil {
@@ -112,11 +200,8 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 	if err := readHeader(r, tagCiphertext); err != nil {
 		return nil, err
 	}
-	var meta struct {
-		Level int32
-		Scale float64
-	}
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+	level, scale, err := readLevelScale(r)
+	if err != nil {
 		return nil, err
 	}
 	c0, err := readPoly(r)
@@ -127,7 +212,7 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	ct := &Ciphertext{C0: c0, C1: c1, Level: int(meta.Level), Scale: meta.Scale}
+	ct := &Ciphertext{C0: c0, C1: c1, Level: level, Scale: scale}
 	if err := ct.validate(params); err != nil {
 		return nil, err
 	}
@@ -184,11 +269,7 @@ func (pt *Plaintext) Serialize(w io.Writer) error {
 	if err := writeHeader(w, tagPlaintext); err != nil {
 		return err
 	}
-	meta := struct {
-		Level int32
-		Scale float64
-	}{int32(pt.Level), pt.Scale}
-	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+	if err := writeLevelScale(w, pt.Level, pt.Scale); err != nil {
 		return err
 	}
 	return writePoly(w, pt.Value)
@@ -199,18 +280,15 @@ func ReadPlaintext(r io.Reader, params *Parameters) (*Plaintext, error) {
 	if err := readHeader(r, tagPlaintext); err != nil {
 		return nil, err
 	}
-	var meta struct {
-		Level int32
-		Scale float64
-	}
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+	level, scale, err := readLevelScale(r)
+	if err != nil {
 		return nil, err
 	}
 	v, err := readPoly(r)
 	if err != nil {
 		return nil, err
 	}
-	pt := &Plaintext{Value: v, Level: int(meta.Level), Scale: meta.Scale}
+	pt := &Plaintext{Value: v, Level: level, Scale: scale}
 	if pt.Level < 0 || pt.Level > params.MaxLevel() || v.Limbs() != pt.Level+1 {
 		return nil, fmt.Errorf("ckks: plaintext shape inconsistent")
 	}
@@ -227,6 +305,9 @@ func (pk *PublicKey) Serialize(w io.Writer) error {
 	}
 	return writePoly(w, pk.A)
 }
+
+// BinarySize is the number of bytes Serialize writes.
+func (pk *PublicKey) BinarySize() int { return 2 + polyWireSize(pk.B) + polyWireSize(pk.A) }
 
 // ReadPublicKey deserialises a public key.
 func ReadPublicKey(r io.Reader, params *Parameters) (*PublicKey, error) {
@@ -257,18 +338,20 @@ func (sk *SecretKey) Serialize(w io.Writer) error {
 	if err := writeHeader(w, tagSecretKey); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(sk.signed))); err != nil {
-		return err
-	}
-	buf := make([]int8, len(sk.signed))
+	buf := make([]byte, 4+len(sk.signed))
+	binary.LittleEndian.PutUint32(buf, uint32(len(sk.signed)))
 	for i, v := range sk.signed {
 		if v < -1 || v > 1 {
 			return fmt.Errorf("ckks: secret coefficient %d out of ternary range", v)
 		}
-		buf[i] = int8(v)
+		buf[4+i] = byte(int8(v))
 	}
-	return binary.Write(w, binary.LittleEndian, buf)
+	_, err := w.Write(buf)
+	return err
 }
+
+// BinarySize is the number of bytes Serialize writes.
+func (sk *SecretKey) BinarySize() int { return 2 + 4 + len(sk.signed) }
 
 // ReadSecretKey deserialises a secret key and rebuilds its NTT-form
 // embeddings over every key ring the parameter set enables (Q++P always,
@@ -277,19 +360,21 @@ func ReadSecretKey(r io.Reader, params *Parameters) (*SecretKey, error) {
 	if err := readHeader(r, tagSecretKey); err != nil {
 		return nil, err
 	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+	var hdr [1]uint32
+	if err := readU32s(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	n := hdr[0]
 	if int(n) != params.N() {
 		return nil, fmt.Errorf("ckks: secret key length %d does not match N=%d: %w", n, params.N(), ErrCorruptSnapshot)
 	}
-	buf := make([]int8, n)
-	if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	sk := &SecretKey{signed: make([]int64, n)}
-	for i, v := range buf {
+	for i, b := range buf {
+		v := int8(b)
 		if v < -1 || v > 1 {
 			return nil, fmt.Errorf("ckks: secret coefficient %d out of ternary range: %w", v, ErrCorruptSnapshot)
 		}
@@ -318,7 +403,7 @@ func (s *EvaluationKeySet) Serialize(w io.Writer) error {
 		methods = append(methods, m)
 	}
 	sort.Slice(methods, func(i, j int) bool { return methods[i] < methods[j] })
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(methods))); err != nil {
+	if err := writeU32s(w, uint32(len(methods))); err != nil {
 		return err
 	}
 	for _, m := range methods {
@@ -327,15 +412,16 @@ func (s *EvaluationKeySet) Serialize(w io.Writer) error {
 			galEls = append(galEls, el)
 		}
 		sort.Slice(galEls, func(i, j int) bool { return galEls[i] < galEls[j] })
-		meta := [2]uint32{uint32(m), uint32(len(galEls))}
-		if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+		if err := writeU32s(w, uint32(m), uint32(len(galEls))); err != nil {
 			return err
 		}
 		if err := s.Relin[m].Serialize(w); err != nil {
 			return err
 		}
 		for _, el := range galEls {
-			if err := binary.Write(w, binary.LittleEndian, el); err != nil {
+			var elBuf [8]byte
+			binary.LittleEndian.PutUint64(elBuf[:], el)
+			if _, err := w.Write(elBuf[:]); err != nil {
 				return err
 			}
 			if err := s.Galois[m][el].Serialize(w); err != nil {
@@ -346,23 +432,36 @@ func (s *EvaluationKeySet) Serialize(w io.Writer) error {
 	return nil
 }
 
+// BinarySize is the number of bytes Serialize writes.
+func (s *EvaluationKeySet) BinarySize() int {
+	size := 2 + 4
+	for m, rlk := range s.Relin {
+		size += 8 + rlk.BinarySize()
+		for _, gk := range s.Galois[m] {
+			size += 8 + gk.BinarySize()
+		}
+	}
+	return size
+}
+
 // ReadEvaluationKeySet deserialises an evaluation-key set, validating every
 // switching key's shape against the parameter set.
 func ReadEvaluationKeySet(r io.Reader, params *Parameters) (*EvaluationKeySet, error) {
 	if err := readHeader(r, tagEvalKeys); err != nil {
 		return nil, err
 	}
-	var nMethods uint32
-	if err := binary.Read(r, binary.LittleEndian, &nMethods); err != nil {
+	var head [1]uint32
+	if err := readU32s(r, head[:]); err != nil {
 		return nil, err
 	}
+	nMethods := head[0]
 	if nMethods > 2 {
 		return nil, fmt.Errorf("ckks: implausible method count %d: %w", nMethods, ErrCorruptSnapshot)
 	}
 	set := NewEvaluationKeySet()
 	for i := uint32(0); i < nMethods; i++ {
 		var meta [2]uint32
-		if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+		if err := readU32s(r, meta[:]); err != nil {
 			return nil, err
 		}
 		method := KeySwitchMethod(meta[0])
@@ -382,10 +481,11 @@ func ReadEvaluationKeySet(r io.Reader, params *Parameters) (*EvaluationKeySet, e
 			return nil, fmt.Errorf("ckks: implausible galois key count %d: %w", nGal, ErrCorruptSnapshot)
 		}
 		for j := 0; j < nGal; j++ {
-			var el uint64
-			if err := binary.Read(r, binary.LittleEndian, &el); err != nil {
+			var elBuf [8]byte
+			if _, err := io.ReadFull(r, elBuf[:]); err != nil {
 				return nil, err
 			}
+			el := binary.LittleEndian.Uint64(elBuf[:])
 			gk, err := ReadSwitchingKey(r, params)
 			if err != nil {
 				return nil, err
@@ -404,8 +504,7 @@ func (swk *SwitchingKey) Serialize(w io.Writer) error {
 	if err := writeHeader(w, tagSwitchKey); err != nil {
 		return err
 	}
-	meta := [2]uint32{uint32(swk.Method), uint32(len(swk.B))}
-	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+	if err := writeU32s(w, uint32(swk.Method), uint32(len(swk.B))); err != nil {
 		return err
 	}
 	for j := range swk.B {
@@ -419,13 +518,22 @@ func (swk *SwitchingKey) Serialize(w io.Writer) error {
 	return nil
 }
 
+// BinarySize is the number of bytes Serialize writes.
+func (swk *SwitchingKey) BinarySize() int {
+	size := 2 + 8
+	for j := range swk.B {
+		size += polyWireSize(swk.B[j]) + polyWireSize(swk.A[j])
+	}
+	return size
+}
+
 // ReadSwitchingKey deserialises a switching key.
 func ReadSwitchingKey(r io.Reader, params *Parameters) (*SwitchingKey, error) {
 	if err := readHeader(r, tagSwitchKey); err != nil {
 		return nil, err
 	}
 	var meta [2]uint32
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+	if err := readU32s(r, meta[:]); err != nil {
 		return nil, err
 	}
 	method := KeySwitchMethod(meta[0])

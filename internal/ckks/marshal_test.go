@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -211,5 +212,24 @@ func TestReadGarbage(t *testing.T) {
 	}
 	if _, err := ReadSwitchingKey(strings.NewReader(""), tc.params); err == nil {
 		t.Error("empty stream accepted")
+	}
+}
+
+// TestBinarySizeMatchesSerialize: the sizes the snapshot writer puts in its
+// header before streaming the key payload must equal the bytes Serialize
+// writes, for every key object.
+func TestBinarySizeMatchesSerialize(t *testing.T) {
+	tc := newTestContext(t)
+	for _, o := range []interface {
+		Serialize(io.Writer) error
+		BinarySize() int
+	}{tc.sk, tc.pk, tc.keys, tc.keys.Relin[Hybrid], tc.keys.Relin[KLSS]} {
+		var buf bytes.Buffer
+		if err := o.Serialize(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != o.BinarySize() {
+			t.Errorf("%T: Serialize wrote %d bytes, BinarySize says %d", o, buf.Len(), o.BinarySize())
+		}
 	}
 }

@@ -114,29 +114,47 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 	if err != nil {
 		return fmt.Errorf("fast: marshal snapshot header: %w", err)
 	}
-	var keys bytes.Buffer
-	if err := c.sk.Serialize(&keys); err != nil {
-		return fmt.Errorf("fast: serialize secret key: %w", err)
-	}
-	if err := c.pk.Serialize(&keys); err != nil {
-		return fmt.Errorf("fast: serialize public key: %w", err)
-	}
-	if err := c.keys.Serialize(&keys); err != nil {
-		return fmt.Errorf("fast: serialize evaluation keys: %w", err)
-	}
-
-	var body bytes.Buffer
-	body.Write(snapshotMagic[:])
-	_ = binary.Write(&body, binary.LittleEndian, uint32(len(hdr)))
-	body.Write(hdr)
-	_ = binary.Write(&body, binary.LittleEndian, uint64(keys.Len()))
-	body.Write(keys.Bytes())
-	sum := sha256.Sum256(body.Bytes())
-	if _, err := w.Write(body.Bytes()); err != nil {
+	// The key payload is streamed straight to w: its length is known up
+	// front, and the checksum is computed on the way through, so no copy of
+	// the (multi-megabyte) key material is ever buffered.
+	keyLen := c.sk.BinarySize() + c.pk.BinarySize() + c.keys.BinarySize()
+	h := sha256.New()
+	cw := &countingWriter{w: io.MultiWriter(w, h)}
+	head := make([]byte, 0, 8+4+len(hdr)+8)
+	head = append(head, snapshotMagic[:]...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(hdr)))
+	head = append(head, hdr...)
+	head = binary.LittleEndian.AppendUint64(head, uint64(keyLen))
+	if _, err := cw.Write(head); err != nil {
 		return err
 	}
-	_, err = w.Write(sum[:])
+	cw.n = 0
+	if err := c.sk.Serialize(cw); err != nil {
+		return fmt.Errorf("fast: serialize secret key: %w", err)
+	}
+	if err := c.pk.Serialize(cw); err != nil {
+		return fmt.Errorf("fast: serialize public key: %w", err)
+	}
+	if err := c.keys.Serialize(cw); err != nil {
+		return fmt.Errorf("fast: serialize evaluation keys: %w", err)
+	}
+	if cw.n != keyLen {
+		return fmt.Errorf("fast: snapshot key payload is %d bytes, header says %d", cw.n, keyLen)
+	}
+	_, err = w.Write(h.Sum(nil))
 	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += n
+	return n, err
 }
 
 // DecodeSessionSnapshot verifies and parses a session snapshot: checksum
